@@ -15,7 +15,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,18 +118,17 @@ void BM_LoadAggregator(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadAggregator)->Unit(benchmark::kMillisecond);
 
-// ---- Hot-path delivery sweep: scalar vs batched AoS vs columnar-fused ---
+// ---- Hot-path delivery sweep: scalar vs columnar-fused ----------------
 
 // A synthetic replica of the server's steady-state emission pattern: each
 // 50 ms tick produces one contiguous burst of ~22 outbound snapshots
 // followed by ~13 inbound client updates, exactly the shape CsServer hands
 // to its sink as one batch. The same stream is held both as AoS records
-// (per-tick spans) and pre-columnised (per-tick PacketBatch views), so each
-// delivery tier starts from its native representation - as it would in the
-// live server, where the tick buffer is born columnar.
+// and pre-columnised (per-tick PacketBatch views), so each delivery tier
+// starts from its native representation - as it would in the live server,
+// where the tick buffer is born columnar.
 struct HotpathWorkload {
   std::vector<net::PacketRecord> records;
-  std::vector<std::span<const net::PacketRecord>> ticks;
   net::ColumnarBatch columns;
   std::vector<net::PacketBatch> column_ticks;
 };
@@ -172,14 +170,10 @@ HotpathWorkload MakeHotpathWorkload(std::size_t tick_count) {
     }
     extents.emplace_back(begin, w.records.size() - begin);
   }
-  w.ticks.reserve(extents.size());
   w.columns.Append(w.records);
   w.column_ticks.reserve(extents.size());
   const net::PacketBatch all_columns = w.columns.View();
-  for (const auto& [begin, len] : extents) {
-    w.ticks.emplace_back(std::span<const net::PacketRecord>(w.records).subspan(begin, len));
-    w.column_ticks.push_back(all_columns.Slice(begin, len));
-  }
+  for (const auto& [begin, len] : extents) w.column_ticks.push_back(all_columns.Slice(begin, len));
   return w;
 }
 
@@ -227,7 +221,9 @@ struct SinkChain {
   }
 };
 
-enum class Delivery { kScalar = 0, kBatched = 1, kColumnarFused = 2 };
+// The value is the benchmark's second argument; columnar-fused stays 2 so
+// BM_HotPathDelivery/<depth>/2 names the same arm in earlier results.
+enum class Delivery { kScalar = 0, kColumnarFused = 2 };
 
 const char* ChainName(int depth) {
   switch (depth) {
@@ -248,9 +244,6 @@ void RunHotpathPass(const HotpathWorkload& w, SinkChain& chain, Delivery mode) {
     case Delivery::kScalar:
       for (const net::PacketRecord& r : w.records) chain.head->OnPacket(r);
       break;
-    case Delivery::kBatched:
-      for (const auto tick : w.ticks) chain.head->OnBatch(tick);
-      break;
     case Delivery::kColumnarFused:
       for (const net::PacketBatch& tick : w.column_ticks) chain.columnar_head->OnColumns(tick);
       break;
@@ -261,15 +254,13 @@ const char* DeliveryName(Delivery mode) {
   switch (mode) {
     case Delivery::kScalar:
       return "scalar ";
-    case Delivery::kBatched:
-      return "batched ";
     default:
       return "columnar-fused ";
   }
 }
 
 // state.range(0) = chain depth,
-// state.range(1) = 0 scalar / 1 batched AoS / 2 columnar-fused.
+// state.range(1) = 0 scalar / 2 columnar-fused.
 void BM_HotPathDelivery(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   const auto mode = static_cast<Delivery>(state.range(1));
@@ -284,10 +275,10 @@ void BM_HotPathDelivery(benchmark::State& state) {
   state.SetLabel(std::string(DeliveryName(mode)) + ChainName(depth));
 }
 BENCHMARK(BM_HotPathDelivery)
-    ->Args({1, 0})->Args({1, 1})->Args({1, 2})
-    ->Args({2, 0})->Args({2, 1})->Args({2, 2})
-    ->Args({3, 0})->Args({3, 1})->Args({3, 2})
-    ->Args({4, 0})->Args({4, 1})->Args({4, 2});
+    ->Args({1, 0})->Args({1, 2})
+    ->Args({2, 0})->Args({2, 2})
+    ->Args({3, 0})->Args({3, 2})
+    ->Args({4, 0})->Args({4, 2});
 
 double TimeHotpathWindow(const HotpathWorkload& w, SinkChain& chain, Delivery mode) {
   std::size_t passes = 0;
@@ -301,43 +292,31 @@ double TimeHotpathWindow(const HotpathWorkload& w, SinkChain& chain, Delivery mo
   return static_cast<double>(w.records.size() * passes) / elapsed.count();
 }
 
-struct HotpathTriple {
+struct HotpathPair {
   double scalar_pps = 0.0;
-  double batched_pps = 0.0;
   double columnar_pps = 0.0;
 };
 
-// Interleaves the three delivery modes (best of 7 windows each, rotating
-// which mode leads every rep) so machine noise and frequency drift hit every
-// mode evenly instead of biasing whichever ran last.
-HotpathTriple MeasureHotpath(const HotpathWorkload& w, int depth) {
+// Interleaves the two delivery modes (best of 7 windows each, alternating
+// which mode leads every rep) so machine noise and frequency drift hit both
+// modes evenly instead of biasing whichever ran last.
+HotpathPair MeasureHotpath(const HotpathWorkload& w, int depth) {
   SinkChain scalar_chain(depth);
-  SinkChain batched_chain(depth);
   SinkChain columnar_chain(depth);
   RunHotpathPass(w, scalar_chain, Delivery::kScalar);  // warm-up
-  RunHotpathPass(w, batched_chain, Delivery::kBatched);
   RunHotpathPass(w, columnar_chain, Delivery::kColumnarFused);
-  HotpathTriple best;
+  HotpathPair best;
   const auto window = [&](Delivery mode) {
-    switch (mode) {
-      case Delivery::kScalar:
-        best.scalar_pps =
-            std::max(best.scalar_pps, TimeHotpathWindow(w, scalar_chain, mode));
-        break;
-      case Delivery::kBatched:
-        best.batched_pps =
-            std::max(best.batched_pps, TimeHotpathWindow(w, batched_chain, mode));
-        break;
-      case Delivery::kColumnarFused:
-        best.columnar_pps =
-            std::max(best.columnar_pps, TimeHotpathWindow(w, columnar_chain, mode));
-        break;
+    if (mode == Delivery::kScalar) {
+      best.scalar_pps = std::max(best.scalar_pps, TimeHotpathWindow(w, scalar_chain, mode));
+    } else {
+      best.columnar_pps =
+          std::max(best.columnar_pps, TimeHotpathWindow(w, columnar_chain, mode));
     }
   };
-  constexpr Delivery kModes[] = {Delivery::kScalar, Delivery::kBatched,
-                                 Delivery::kColumnarFused};
+  constexpr Delivery kModes[] = {Delivery::kScalar, Delivery::kColumnarFused};
   for (int rep = 0; rep < 7; ++rep) {
-    for (int m = 0; m < 3; ++m) window(kModes[(rep + m) % 3]);
+    for (int m = 0; m < 2; ++m) window(kModes[(rep + m) % 2]);
   }
   return best;
 }
@@ -399,8 +378,8 @@ struct ObsOverhead {
 // overhead is per-scope cost times scope density against the measured
 // per-record budget (the scopes are compiled in, so they cannot be switched
 // off for a differential run); active overhead is a direct A/B of the
-// depth-4 batched chain with profiling on vs off.
-ObsOverhead MeasureObsOverhead(const HotpathWorkload& w, double idle_batched_pps) {
+// depth-4 columnar-fused chain with profiling on vs off.
+ObsOverhead MeasureObsOverhead(const HotpathWorkload& w, double idle_columnar_pps) {
   ObsOverhead o;
   obs::EnableProfiling(false);
   const double without_ns = MeasureProbeNs(&ProbeWithoutScope);
@@ -411,14 +390,15 @@ ObsOverhead MeasureObsOverhead(const HotpathWorkload& w, double idle_batched_pps
   obs::EnableProfiling(false);
   obs::ResetProfiling();
 
-  // Depth-4 batched: shard_ns -> tee -> {counting, load_agg, summary,
-  // sessions} is 6 scoped OnBatch calls per 35-record tick.
-  o.scopes_per_record = 6.0 / 35.0;
-  if (idle_batched_pps > 0.0) {
-    const double record_ns = 1e9 / idle_batched_pps;
+  // Depth-4 columnar-fused: the fused chain calls the four terminals'
+  // unscoped AccumulateColumns kernels, so a 35-record tick passes one
+  // scoped OnColumns call.
+  o.scopes_per_record = 1.0 / 35.0;
+  if (idle_columnar_pps > 0.0) {
+    const double record_ns = 1e9 / idle_columnar_pps;
     o.idle_overhead_fraction = o.idle_scope_ns * o.scopes_per_record / record_ns;
     o.active_overhead_fraction =
-        std::max(0.0, 1.0 - active.batched_pps / idle_batched_pps);
+        std::max(0.0, 1.0 - active.columnar_pps / idle_columnar_pps);
   }
   return o;
 }
@@ -434,9 +414,10 @@ struct FlightOverhead {
 // The flight recorder charges the sim one registry copy per sampling period
 // (default one sim-minute). Price that copy against the hot-path cost of the
 // traffic a sample period spans at the paper's mean load (Table III: ~270
-// pps), using the measured deep-chain batched throughput as the per-record
-// budget. The budget for the whole observability layer is < 2% idle.
-FlightOverhead MeasureFlightOverhead(double batched_pps) {
+// pps), using the measured deep-chain columnar-fused throughput as the
+// per-record budget. The budget for the whole observability layer is < 2%
+// idle.
+FlightOverhead MeasureFlightOverhead(double columnar_pps) {
   // A registry shaped like a real run's snapshot: the server session and
   // traffic counters plus the NAT and simulator gauges.
   obs::MetricsRegistry metrics;
@@ -472,8 +453,8 @@ FlightOverhead MeasureFlightOverhead(double batched_pps) {
   }
 
   o.records_per_minute = 270.0 * 60.0;  // Table III mean load over one period
-  if (batched_pps > 0.0) {
-    const double record_ns = 1e9 / batched_pps;
+  if (columnar_pps > 0.0) {
+    const double record_ns = 1e9 / columnar_pps;
     o.overhead_fraction = o.sample_ns / (o.records_per_minute * record_ns);
   }
   return o;
@@ -625,53 +606,40 @@ TelemetryOverhead MeasureTelemetryOverhead() {
   return o;
 }
 
-// Packets/sec sweep of scalar vs batched-AoS vs columnar-fused delivery per
-// chain depth, written to BENCH_hotpath.json. Acceptance bars: batched must
-// never lose to scalar (min_speedup >= 1.0) and the columnar-fused tier must
-// beat scalar by > 2x at every depth (min_columnar_speedup).
+// Packets/sec sweep of scalar vs columnar-fused delivery per chain depth,
+// written to BENCH_hotpath.json. Acceptance bar: the columnar-fused tier
+// must beat scalar by > 2x at the delivery-bound depths
+// (min_columnar_speedup; see tools/bench_compare.py for the floors).
 void WriteHotpathJson(const std::string& path) {
   const auto& workload = SharedHotpathWorkload();
   std::ofstream out(path);
   out << "{\n"
       << "  \"bench\": \"hotpath_delivery\",\n"
-      << "  \"ticks\": " << workload.ticks.size() << ",\n"
+      << "  \"ticks\": " << workload.column_ticks.size() << ",\n"
       << "  \"records\": " << workload.records.size() << ",\n"
       << "  \"runs\": [\n";
-  double min_speedup = 0.0;
-  double max_speedup = 0.0;
   double min_columnar_speedup = 0.0;
   double max_columnar_speedup = 0.0;
-  double emission_speedup = 0.0;  // depth 2: the shard tick-emission path
-  double deep_batched_pps = 0.0;  // depth 4: obs overhead reference
-  bool first = true;
+  double deep_columnar_pps = 0.0;  // depth 4: obs overhead reference
   for (int depth = 1; depth <= 4; ++depth) {
-    const auto triple = MeasureHotpath(workload, depth);
-    const double speedup =
-        triple.scalar_pps > 0.0 ? triple.batched_pps / triple.scalar_pps : 0.0;
+    const auto pair = MeasureHotpath(workload, depth);
     const double columnar_speedup =
-        triple.scalar_pps > 0.0 ? triple.columnar_pps / triple.scalar_pps : 0.0;
-    min_speedup = first ? speedup : std::min(min_speedup, speedup);
-    max_speedup = std::max(max_speedup, speedup);
+        pair.scalar_pps > 0.0 ? pair.columnar_pps / pair.scalar_pps : 0.0;
     min_columnar_speedup =
-        first ? columnar_speedup : std::min(min_columnar_speedup, columnar_speedup);
+        depth == 1 ? columnar_speedup : std::min(min_columnar_speedup, columnar_speedup);
     max_columnar_speedup = std::max(max_columnar_speedup, columnar_speedup);
-    if (depth == 2) emission_speedup = speedup;
-    if (depth == 4) deep_batched_pps = triple.batched_pps;
-    if (!first) out << ",\n";
-    first = false;
+    if (depth == 4) deep_columnar_pps = pair.columnar_pps;
+    if (depth > 1) out << ",\n";
     out << "    {\"chain_depth\": " << depth << ", \"chain\": \"" << ChainName(depth)
-        << "\", \"scalar_packets_per_second\": " << triple.scalar_pps
-        << ", \"batched_packets_per_second\": " << triple.batched_pps
-        << ", \"columnar_fused_packets_per_second\": " << triple.columnar_pps
-        << ", \"speedup\": " << speedup
+        << "\", \"scalar_packets_per_second\": " << pair.scalar_pps
+        << ", \"columnar_fused_packets_per_second\": " << pair.columnar_pps
         << ", \"columnar_speedup\": " << columnar_speedup << "}";
-    std::cerr << "hotpath depth " << depth << ": scalar " << triple.scalar_pps
-              << " pkt/s, batched " << triple.batched_pps << " pkt/s (" << speedup
-              << "x), columnar-fused " << triple.columnar_pps << " pkt/s ("
+    std::cerr << "hotpath depth " << depth << ": scalar " << pair.scalar_pps
+              << " pkt/s, columnar-fused " << pair.columnar_pps << " pkt/s ("
               << columnar_speedup << "x)\n";
   }
-  const ObsOverhead obs = MeasureObsOverhead(workload, deep_batched_pps);
-  const FlightOverhead flight = MeasureFlightOverhead(deep_batched_pps);
+  const ObsOverhead obs = MeasureObsOverhead(workload, deep_columnar_pps);
+  const FlightOverhead flight = MeasureFlightOverhead(deep_columnar_pps);
   const TelemetryOverhead telemetry = MeasureTelemetryOverhead();
   out << "\n  ],\n"
       << "  \"obs\": {\"idle_scope_ns\": " << obs.idle_scope_ns
@@ -690,9 +658,6 @@ void WriteHotpathJson(const std::string& path) {
       << ", \"overhead_fraction\": " << telemetry.overhead_fraction
       << ", \"memory_bytes_1x\": " << telemetry.memory_bytes_1x
       << ", \"memory_bytes_10x\": " << telemetry.memory_bytes_10x << "},\n"
-      << "  \"speedup\": " << emission_speedup << ",\n"
-      << "  \"min_speedup\": " << min_speedup << ",\n"
-      << "  \"max_speedup\": " << max_speedup << ",\n"
       << "  \"min_columnar_speedup\": " << min_columnar_speedup << ",\n"
       << "  \"max_columnar_speedup\": " << max_columnar_speedup << "\n}\n";
   std::cerr << "obs overhead: idle scope " << obs.idle_scope_ns << " ns, active scope "

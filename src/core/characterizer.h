@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "net/packet.h"
@@ -71,10 +70,6 @@ class Characterizer final : public trace::CaptureSink {
 
   void OnPacket(const net::PacketRecord& record) override;
 
-  // Feeds every constituent analysis its batch fast path; produces exactly
-  // the same report as the per-packet path.
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
   // Columnar fast path: each constituent analysis consumes the raw columns
   // through its AccumulateColumns/AddColumn kernel - no record
   // materialisation anywhere in the pipeline. Same report, bit-identical.
@@ -104,7 +99,7 @@ class Characterizer final : public trace::CaptureSink {
   stats::Histogram size_total_;
   stats::Histogram size_in_;
   stats::Histogram size_out_;
-  std::vector<double> scratch_times_;  // reused per batch by OnBatch
+  std::vector<double> scratch_times_;  // reused per batch by OnColumns
 };
 
 // Reduces finished per-shard reports into one fleet-wide report: summaries,

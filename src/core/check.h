@@ -177,22 +177,43 @@ std::unique_ptr<std::string> MakeCheckOpString(const A& a, const B& b, const cha
   return std::make_unique<std::string>(os.str());
 }
 
+// Integer types the std::cmp_* functions accept (no bool, no character
+// types).
+template <typename T>
+concept CmpInteger =
+    std::is_integral_v<T> && !std::is_same_v<T, bool> && !std::is_same_v<T, char> &&
+    !std::is_same_v<T, wchar_t> && !std::is_same_v<T, char8_t> &&
+    !std::is_same_v<T, char16_t> && !std::is_same_v<T, char32_t>;
+
+// A signed operand against an unsigned one (GT_CHECK_NE(size, 0)): the
+// built-in operator would convert the signed side to unsigned, so such
+// pairs compare by value through std::cmp_* instead.
+template <typename A, typename B>
+concept MixedSignIntegers =
+    CmpInteger<A> && CmpInteger<B> && std::is_signed_v<A> != std::is_signed_v<B>;
+
 // One CheckOp<name> per comparison; returns null on success, the formatted
 // condition text on failure. Operands are evaluated exactly once.
-#define GT_INTERNAL_DEFINE_CHECK_OP(opname, op)                                            \
+#define GT_INTERNAL_DEFINE_CHECK_OP(opname, op, cmp)                                       \
   template <typename A, typename B>                                                        \
   std::unique_ptr<std::string> CheckOp##opname(const A& a, const B& b, const char* expr) { \
-    if (a op b) [[likely]]                                                                 \
+    bool ok;                                                                               \
+    if constexpr (MixedSignIntegers<A, B>) {                                               \
+      ok = cmp(a, b);                                                                      \
+    } else {                                                                               \
+      ok = a op b;                                                                         \
+    }                                                                                      \
+    if (ok) [[likely]]                                                                     \
       return nullptr;                                                                      \
     return MakeCheckOpString(a, b, expr);                                                  \
   }
 
-GT_INTERNAL_DEFINE_CHECK_OP(EQ, ==)
-GT_INTERNAL_DEFINE_CHECK_OP(NE, !=)
-GT_INTERNAL_DEFINE_CHECK_OP(LT, <)
-GT_INTERNAL_DEFINE_CHECK_OP(LE, <=)
-GT_INTERNAL_DEFINE_CHECK_OP(GT, >)
-GT_INTERNAL_DEFINE_CHECK_OP(GE, >=)
+GT_INTERNAL_DEFINE_CHECK_OP(EQ, ==, std::cmp_equal)
+GT_INTERNAL_DEFINE_CHECK_OP(NE, !=, std::cmp_not_equal)
+GT_INTERNAL_DEFINE_CHECK_OP(LT, <, std::cmp_less)
+GT_INTERNAL_DEFINE_CHECK_OP(LE, <=, std::cmp_less_equal)
+GT_INTERNAL_DEFINE_CHECK_OP(GT, >, std::cmp_greater)
+GT_INTERNAL_DEFINE_CHECK_OP(GE, >=, std::cmp_greater_equal)
 #undef GT_INTERNAL_DEFINE_CHECK_OP
 
 // Collects the `<< "context"` stream; its destructor fires the handler.

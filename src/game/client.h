@@ -77,7 +77,6 @@ struct ActiveClient {
   net::Ipv4Address ip;
   std::uint16_t port = 0;
   ClientProfile profile;
-  double joined_at = 0.0;
   double next_send = 0.0;  // absolute time of the next inbound update
   // Netchannel sequence counters (next value to assign, starting at 1).
   std::uint32_t seq_in = 1;   // client -> server channel

@@ -16,12 +16,13 @@
 //  * ColumnarBatch    - owning storage, reusable across ticks (capacity is
 //                       kept by Clear), built either record-by-record by a
 //                       producer (CsServer::Emit) or in bulk from an AoS
-//                       span (replay readers, the OnBatch->OnColumns shim).
+//                       span (trace::Replay).
 //
 // Invariant: a PacketBatch describes exactly the same record sequence as
-// the AoS batch it mirrors - RecordAt(i) reconstructs record i bit-for-bit,
-// so columnar and AoS delivery are interchangeable and reports stay
-// bit-identical (the columnar property tests enforce this per sink).
+// the records it was built from - RecordAt(i) reconstructs record i
+// bit-for-bit, so columnar and per-packet delivery are interchangeable and
+// reports stay bit-identical (the columnar property tests enforce this per
+// sink).
 #pragma once
 
 #include <cstdint>
@@ -69,8 +70,8 @@ struct PacketBatch {
     return r;
   }
 
-  // Appends the whole batch to `out` as AoS records (the bridge used by
-  // sinks without a columnar override).
+  // Appends the whole batch to `out` as AoS records (VectorSink's columnar
+  // path).
   void MaterializeInto(std::vector<PacketRecord>& out) const {
     out.reserve(out.size() + count);
     for (std::size_t i = 0; i < count; ++i) out.push_back(RecordAt(i));
@@ -104,10 +105,10 @@ struct PacketBatch {
 
 // Owning columnar storage. The column vectors are capacity buffers sized to
 // the high-water batch; a separate logical `size_` tracks the live prefix.
-// Clear() just resets the size, so the fill/flush cycle a sink repeats every
-// batch (ShardNamespaceSink's interior rewrite, FusedChain's AoS shim)
-// performs zero allocation and zero re-initialisation after warm-up - the
-// transpose is nothing but dense stores.
+// Clear() just resets the size, so the fill/flush cycle a producer repeats
+// every batch (CsServer's tick buffer, FilterSink's compaction, Replay's
+// chunks) performs zero allocation and zero re-initialisation after
+// warm-up - the transpose is nothing but dense stores.
 class ColumnarBatch {
  public:
   void Clear() noexcept { size_ = 0; }
@@ -129,16 +130,10 @@ class ColumnarBatch {
     size_ = i + 1;
   }
 
-  // Bulk AoS -> SoA transpose (replay readers, OnBatch shims). Appends.
-  // One pass, no per-element capacity checks: each record is read once and
-  // fanned out to the seven column streams - this runs once per batch on
-  // the interior-rewrite path, so it must not eat the fusion win.
-  void Append(std::span<const PacketRecord> records) { AppendWithIpShift(records, 0); }
-
-  // Append + the shard namespace rewrite in the same pass: the client-IP
-  // column is written pre-shifted, so an interior rewrite sink transposes
-  // and rewrites for the cost of the transpose alone.
-  void AppendWithIpShift(std::span<const PacketRecord> records, std::uint32_t ip_shift) {
+  // Bulk AoS -> SoA transpose (trace::Replay). Appends. One pass, no
+  // per-element capacity checks: each record is read once and fanned out to
+  // the seven column streams.
+  void Append(std::span<const PacketRecord> records) {
     const std::size_t old = size_;
     const std::size_t n = records.size();
     const PacketRecord* r = records.data();
@@ -152,7 +147,7 @@ class ColumnarBatch {
     std::uint8_t* kinds = kinds_.data() + old;
     for (std::size_t i = 0; i < n; ++i) {
       ts[i] = r[i].timestamp;
-      ips[i] = r[i].client_ip.value() + ip_shift;
+      ips[i] = r[i].client_ip.value();
       seqs[i] = r[i].seq;
       ports[i] = r[i].client_port;
       bytes[i] = r[i].app_bytes;
@@ -178,13 +173,6 @@ class ColumnarBatch {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-
-  // Mutable access to the client-IP column, for in-place per-field
-  // transforms on a freshly built private copy (the shard namespace shift
-  // in ShardNamespaceSink::OnBatch). The other columns stay immutable.
-  [[nodiscard]] std::span<std::uint32_t> mutable_client_ips() noexcept {
-    return std::span<std::uint32_t>(client_ips_.data(), size_);
-  }
 
   [[nodiscard]] PacketBatch View() const noexcept {
     PacketBatch view;

@@ -64,7 +64,7 @@ struct SloRule {
   // When non-empty, the scaled signal divides by this gauge's current
   // value (e.g. per-client normalization by "server.active_players"). A
   // zero or negative denominator skips the rule for that snapshot.
-  std::string divide_by_gauge;
+  std::string divide_by_gauge = {};
   std::string description;
 };
 

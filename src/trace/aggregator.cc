@@ -26,55 +26,17 @@ void LoadAggregator::OnPacket(const net::PacketRecord& record) {
   }
 }
 
-void LoadAggregator::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("trace.load_agg.on_batch");
-  // A tick burst is a long run of same-direction packets whose timestamps
-  // land in the same bin; aggregate each run and pay two series updates per
-  // run instead of two per packet. Bin membership is decided by the same
-  // BinIndex the scalar path uses, and counts/wire bytes are integral, so
-  // the run sums are bit-identical to the per-packet loop.
-  const double start = pkts_in_.start_time();
-  std::size_t i = 0;
-  const std::size_t n = batch.size();
-  while (i < n) {
-    const net::PacketRecord& first = batch[i];
-    if (first.timestamp < start) {  // before-start samples only bump dropped_
-      OnPacket(first);
-      ++i;
-      continue;
-    }
-    const net::Direction dir = first.direction;
-    const std::size_t bin = pkts_in_.BinIndex(first.timestamp);
-    double count = 0.0;
-    double wire = 0.0;
-    do {
-      const net::PacketRecord& r = batch[i];
-      if (r.direction != dir || r.timestamp < start || pkts_in_.BinIndex(r.timestamp) != bin) {
-        break;
-      }
-      count += 1.0;
-      wire += static_cast<double>(r.wire_bytes(overhead_));
-      ++i;
-    } while (i < n);
-    if (dir == net::Direction::kClientToServer) {
-      pkts_in_.AddAtBin(bin, count);
-      bytes_in_.AddAtBin(bin, wire);
-    } else {
-      pkts_out_.AddAtBin(bin, count);
-      bytes_out_.AddAtBin(bin, wire);
-    }
-  }
-}
-
 void LoadAggregator::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.load_agg.on_columns");
   AccumulateColumns(batch);
 }
 
 void LoadAggregator::AccumulateColumns(const net::PacketBatch& batch) {
-  // Same run aggregation as OnBatch, but run detection scans the dense
-  // timestamp and direction columns (16 hot bytes per packet instead of a
-  // 24-byte record) and the wire-byte sum reads the u16 size column.
+  // Run detection scans the dense timestamp and direction columns (16 hot
+  // bytes per packet instead of a 24-byte record) and the wire-byte sum
+  // reads the u16 size column. Bin membership is decided by the same
+  // BinIndex the scalar path uses, and counts/wire bytes are integral, so
+  // the run sums are bit-identical to the per-packet loop.
   const double start = pkts_in_.start_time();
   const double* ts = batch.timestamps;
   const std::uint8_t* dirs = batch.directions;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "net/packet.h"
 #include "stats/time_series.h"
@@ -20,15 +19,13 @@ class LoadAggregator final : public CaptureSink {
 
   void OnPacket(const net::PacketRecord& record) override;
 
-  // One virtual call per tick batch; the per-record binning runs as a
-  // tight inlined loop.
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
   void OnColumns(const net::PacketBatch& batch) override;
 
-  // Columnar kernel (non-virtual: FusedChain calls it directly): the same
-  // run-aggregated binning as OnBatch, reading the dense timestamp,
-  // direction and size columns instead of striding through records.
+  // Columnar kernel (non-virtual: FusedChain calls it directly). A tick
+  // burst is a long run of same-direction packets whose timestamps land in
+  // the same bin, so each run costs two series updates instead of two per
+  // packet; run detection reads the dense timestamp, direction and size
+  // columns instead of striding through records.
   void AccumulateColumns(const net::PacketBatch& batch);
 
   // Pads all series with zero bins up to `t_end` so trailing idle time is

@@ -5,24 +5,23 @@
 // single simulation run can feed any combination of analyses via TeeSink
 // without materialising 500 M records in memory.
 //
-// Delivery tiers, cheapest first:
-//  * OnColumns() - columnar batches (net::PacketBatch): one contiguous
-//    array per field, built once per tick by the producer. Sinks with a
-//    columnar kernel consume raw columns (auto-vectorisable loops, no
-//    24-byte record stride); the default bridges to OnBatch through a
-//    reusable materialisation scratch, so every sink stays correct.
-//  * OnBatch() - a contiguous AoS slice, one virtual call per run.
-//  * OnPacket() - the scalar path, one virtual call per packet.
-// The contract for both batch forms: a batch is a contiguous slice of the
-// stream in emission order (per-flow sequence order preserved) and never
-// spans a server tick. Every tier observes exactly the same record
-// sequence - reports are bit-identical whichever entry point feeds a sink.
+// Two delivery tiers:
+//  * OnColumns() - one server tick as a columnar batch (net::PacketBatch):
+//    one contiguous array per field, built once per tick by the producer
+//    (CsServer, trace::Replay). Sinks with a columnar kernel consume raw
+//    columns (auto-vectorisable loops, no 24-byte record stride); the
+//    default loops OnPacket over the rows, so every sink stays correct.
+//  * OnPacket() - one record: handshakes, downloads, web traffic, the NAT
+//    injector and the trace readers.
+// The batch contract: a batch is a contiguous slice of the stream in
+// emission order (per-flow sequence order preserved) and never spans a
+// server tick. Both tiers observe exactly the same record sequence -
+// reports are bit-identical whichever entry point feeds a sink.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/check.h"
@@ -45,18 +44,6 @@ namespace internal {
 // per batch. Only ever used behind GT_DCHECK.
 class FlowOrderScratch {
  public:
-  bool CheckBatch(std::span<const net::PacketRecord> batch) {
-    BeginBatch(batch.size());
-    for (const net::PacketRecord& r : batch) {
-      if (!Observe(FlowKeyOf(r.client_ip.value(), r.client_port,
-                             r.direction == net::Direction::kClientToServer),
-                   r.timestamp)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   bool CheckColumns(const net::PacketBatch& batch) {
     BeginBatch(batch.count);
     for (std::size_t i = 0; i < batch.count; ++i) {
@@ -123,10 +110,6 @@ inline FlowOrderScratch& FlowOrderProbe() {
   return scratch;
 }
 
-inline bool BatchPreservesPerFlowOrder(std::span<const net::PacketRecord> batch) {
-  return FlowOrderProbe().CheckBatch(batch);
-}
-
 inline bool ColumnsPreservePerFlowOrder(const net::PacketBatch& batch) {
   return FlowOrderProbe().CheckColumns(batch);
 }
@@ -138,29 +121,13 @@ class CaptureSink {
   virtual ~CaptureSink() = default;
   virtual void OnPacket(const net::PacketRecord& record) = 0;
 
-  // Receives a contiguous run of records (see the batch contract above).
-  // Overrides must be equivalent to the default per-packet loop.
-  virtual void OnBatch(std::span<const net::PacketRecord> batch) {
-    GT_DCHECK(internal::BatchPreservesPerFlowOrder(batch))
-        << "CaptureSink::OnBatch: batch violates per-flow emission-order contract";
-    for (const net::PacketRecord& record : batch) OnPacket(record);
-  }
-
-  // Receives the same run as a columnar view. Overrides must be equivalent
-  // to the default bridge, which materialises the records into a reusable
-  // scratch and forwards them down the OnBatch/OnPacket path.
+  // Receives one tick as a columnar view (see the batch contract above).
+  // Overrides must be equivalent to this default per-row loop.
   virtual void OnColumns(const net::PacketBatch& batch) {
     GT_DCHECK(internal::ColumnsPreservePerFlowOrder(batch))
         << "CaptureSink::OnColumns: batch violates per-flow emission-order contract";
-    bridge_scratch_.clear();
-    batch.MaterializeInto(bridge_scratch_);
-    OnBatch(bridge_scratch_);
+    for (std::size_t i = 0; i < batch.count; ++i) OnPacket(batch.RecordAt(i));
   }
-
- private:
-  // Owned by the base so the AoS bridge is allocation-free after warm-up
-  // for every sink that has no columnar kernel of its own.
-  std::vector<net::PacketRecord> bridge_scratch_;
 };
 
 // Forwards every packet to each attached sink, in attachment order.
@@ -171,11 +138,6 @@ class TeeSink final : public CaptureSink {
 
   void OnPacket(const net::PacketRecord& record) override {
     for (CaptureSink* sink : sinks_) sink->OnPacket(record);
-  }
-
-  void OnBatch(std::span<const net::PacketRecord> batch) override {
-    GT_PROF_SCOPE("trace.tee.on_batch");
-    for (CaptureSink* sink : sinks_) sink->OnBatch(batch);
   }
 
   void OnColumns(const net::PacketBatch& batch) override {
@@ -201,36 +163,6 @@ class CountingSink final : public CaptureSink {
     } else {
       ++packets_out_;
     }
-  }
-
-  // Two-way unrolled with independent accumulators: the 24-byte record
-  // stride defeats auto-vectorization, and a single accumulator chain
-  // serialises on the add latency. Both sums are integral, so regrouping
-  // them is exact.
-  void OnBatch(std::span<const net::PacketRecord> batch) override {
-    GT_PROF_SCOPE("trace.counting.on_batch");
-    const net::PacketRecord* r = batch.data();
-    const std::size_t n = batch.size();
-    std::uint64_t in0 = 0;
-    std::uint64_t in1 = 0;
-    std::uint64_t bytes0 = 0;
-    std::uint64_t bytes1 = 0;
-    std::size_t k = 0;
-    for (; k + 2 <= n; k += 2) {
-      bytes0 += r[k].app_bytes;
-      in0 += r[k].direction == net::Direction::kClientToServer ? 1 : 0;
-      bytes1 += r[k + 1].app_bytes;
-      in1 += r[k + 1].direction == net::Direction::kClientToServer ? 1 : 0;
-    }
-    for (; k < n; ++k) {
-      bytes0 += r[k].app_bytes;
-      in0 += r[k].direction == net::Direction::kClientToServer ? 1 : 0;
-    }
-    const std::uint64_t in = in0 + in1;
-    packets_ += n;
-    packets_in_ += in;
-    packets_out_ += n - in;
-    app_bytes_ += bytes0 + bytes1;
   }
 
   void OnColumns(const net::PacketBatch& batch) override {
@@ -274,11 +206,6 @@ class CountingSink final : public CaptureSink {
 class VectorSink final : public CaptureSink {
  public:
   void OnPacket(const net::PacketRecord& record) override { records_.push_back(record); }
-
-  void OnBatch(std::span<const net::PacketRecord> batch) override {
-    GT_PROF_SCOPE("trace.vector.on_batch");
-    records_.insert(records_.end(), batch.begin(), batch.end());
-  }
 
   void OnColumns(const net::PacketBatch& batch) override {
     GT_PROF_SCOPE("trace.vector.on_columns");
@@ -331,21 +258,6 @@ class ShardNamespaceSink final : public CaptureSink {
     downstream_->OnPacket(shifted);
   }
 
-  // An interior rewrite must materialise a private copy of the batch
-  // anyway, so build that copy *columnar*: the namespace shift then touches
-  // one dense 4-byte lane instead of a field inside every 24-byte record,
-  // and the batch continues downstream on the columnar tier where every
-  // library sink has its fastest kernel. Equivalent per the delivery-tier
-  // contract (reports are bit-identical whichever tier feeds a sink).
-  void OnBatch(std::span<const net::PacketRecord> batch) override {
-    GT_PROF_SCOPE("trace.shard_namespace.on_batch");
-    GT_DCHECK(internal::BatchPreservesPerFlowOrder(batch))
-        << "ShardNamespaceSink::OnBatch: batch violates per-flow emission-order contract";
-    column_scratch_.Clear();
-    column_scratch_.AppendWithIpShift(batch, shift_);
-    downstream_->OnColumns(column_scratch_.View());
-  }
-
   // The columnar payoff: the rewrite touches exactly one column. Copy+shift
   // the 4-byte IP lane into a reused scratch and re-point the view; the
   // other six columns are forwarded untouched.
@@ -367,7 +279,6 @@ class ShardNamespaceSink final : public CaptureSink {
  private:
   std::uint32_t shift_;
   CaptureSink* downstream_;
-  net::ColumnarBatch column_scratch_;
   std::vector<std::uint32_t> ip_scratch_;
 };
 

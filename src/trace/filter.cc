@@ -22,20 +22,6 @@ void FilterSink::OnPacket(const net::PacketRecord& record) {
   }
 }
 
-void FilterSink::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("trace.filter.on_batch");
-  scratch_.clear();
-  for (const net::PacketRecord& record : batch) {
-    if (predicate_(record)) {
-      scratch_.push_back(record);
-    } else {
-      ++dropped_;
-    }
-  }
-  passed_ += scratch_.size();
-  if (!scratch_.empty()) next_->OnBatch(scratch_);
-}
-
 void FilterSink::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.filter.on_columns");
   // The predicate sees full records (it is an arbitrary std::function over

@@ -2,8 +2,6 @@
 #pragma once
 
 #include <functional>
-#include <span>
-#include <vector>
 
 #include "net/packet.h"
 #include "trace/capture.h"
@@ -20,10 +18,6 @@ class FilterSink final : public CaptureSink {
 
   void OnPacket(const net::PacketRecord& record) override;
 
-  // Compacts the passing records into a reused scratch buffer and forwards
-  // them as one batch (order preserved).
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
   // Compacts column-wise into a reused columnar scratch (order preserved),
   // so the columnar fast path survives the filter.
   void OnColumns(const net::PacketBatch& batch) override;
@@ -36,7 +30,6 @@ class FilterSink final : public CaptureSink {
   CaptureSink* next_;
   std::uint64_t passed_ = 0;
   std::uint64_t dropped_ = 0;
-  std::vector<net::PacketRecord> scratch_;
   net::ColumnarBatch column_scratch_;
 };
 

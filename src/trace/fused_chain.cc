@@ -57,13 +57,6 @@ void FusedChain::OnPacket(const net::PacketRecord& record) {
   }
 }
 
-void FusedChain::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("trace.fused.on_batch");
-  batch_scratch_.Clear();
-  batch_scratch_.Append(batch);
-  OnColumns(batch_scratch_.View());
-}
-
 void FusedChain::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.fused.on_columns");
   GT_DCHECK(internal::ColumnsPreservePerFlowOrder(batch))

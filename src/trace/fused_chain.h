@@ -51,11 +51,6 @@ class FusedChain final : public CaptureSink {
 
   void OnPacket(const net::PacketRecord& record) override;
 
-  // Columnises the slice into a reused scratch and delivers it as columns:
-  // per the capture contract every tier is report-equivalent, and this keeps
-  // one fused implementation instead of three.
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
   void OnColumns(const net::PacketBatch& batch) override;
 
   [[nodiscard]] const std::vector<Terminal>& terminals() const noexcept { return terminals_; }
@@ -67,7 +62,6 @@ class FusedChain final : public CaptureSink {
 
   std::vector<Terminal> terminals_;
   std::vector<std::uint32_t> ip_scratch_;  // shifted IP column, reused
-  net::ColumnarBatch batch_scratch_;       // AoS->SoA staging for OnBatch
 };
 
 // Compiles the chain rooted at `head` into a FusedChain. Returns nullptr if

@@ -22,11 +22,6 @@ SessionTracker::SessionTracker(double idle_timeout_seconds) : idle_timeout_(idle
 
 void SessionTracker::OnPacket(const net::PacketRecord& record) { Ingest(record); }
 
-void SessionTracker::OnBatch(std::span<const net::PacketRecord> batch) {
-  GT_PROF_SCOPE("trace.sessions.on_batch");
-  for (const net::PacketRecord& record : batch) Ingest(record);
-}
-
 void SessionTracker::OnColumns(const net::PacketBatch& batch) {
   GT_PROF_SCOPE("trace.sessions.on_columns");
   AccumulateColumns(batch);

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -43,10 +42,6 @@ class SessionTracker final : public CaptureSink {
   explicit SessionTracker(double idle_timeout_seconds = 30.0);
 
   void OnPacket(const net::PacketRecord& record) override;
-
-  // One virtual call per batch; repeated packets from the same endpoint
-  // (the common case inside a tick burst) skip the hash lookup entirely.
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
 
   void OnColumns(const net::PacketBatch& batch) override;
 

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_set>
 
 #include "net/packet.h"
@@ -21,16 +20,12 @@ class TraceSummary final : public CaptureSink {
 
   void OnPacket(const net::PacketRecord& record) override;
 
-  // Accumulates the whole batch with register-resident counters; identical
-  // result to the per-packet path (Welford moments stay sequential).
-  void OnBatch(std::span<const net::PacketRecord> batch) override;
-
   void OnColumns(const net::PacketBatch& batch) override;
 
-  // Columnar kernel (non-virtual: FusedChain calls it directly): the same
-  // per-direction sweeps as OnBatch over raw u8/u16 columns. Per-direction
-  // order - all the sequential Welford moments depend on - is preserved, so
-  // results stay bit-identical.
+  // Columnar kernel (non-virtual: FusedChain calls it directly): one pass
+  // over the raw u8/u16 columns. Per-direction order - all the sequential
+  // Welford moments depend on - is preserved, so results stay bit-identical
+  // to the per-packet path.
   void AccumulateColumns(const net::PacketBatch& batch);
 
   // Combines another summary into this one, as if every packet fed to

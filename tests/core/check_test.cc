@@ -151,6 +151,15 @@ TEST(GtCheckOp, MixedTypeComparisonCompiles) {
   EXPECT_THROW(GT_CHECK_GE(3u, big), ContractViolation);
 }
 
+TEST(GtCheckOp, MixedSignComparesByValue) {
+  // A plain -1 < 0u converts -1 to UINT_MAX; the check compares values.
+  const std::size_t zero = 0;
+  GT_CHECK_LT(-1, zero);
+  GT_CHECK_NE(-1, static_cast<unsigned>(-1));
+  EXPECT_THROW(GT_CHECK_GE(-1, zero), ContractViolation);
+  EXPECT_THROW(GT_CHECK_EQ(-1, static_cast<unsigned>(-1)), ContractViolation);
+}
+
 // --- GT_UNREACHABLE -------------------------------------------------------
 
 TEST(GtUnreachable, AlwaysThrows) {

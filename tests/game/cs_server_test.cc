@@ -1,5 +1,8 @@
 #include "game/cs_server.h"
 
+#include <map>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "trace/aggregator.h"
@@ -220,6 +223,77 @@ TEST(CsServer, StartIsIdempotent) {
   EXPECT_NO_THROW(server.Start());
   s.RunUntil(10.0);
   EXPECT_GT(sink.packets(), 0u);
+}
+
+TEST(CsServer, DisconnectByEndpointQuitsExactlyThatPlayer) {
+  sim::Simulator s;
+  trace::VectorSink sink;
+  CsServer server(s, ShortConfig(9), sink);
+  server.Start();
+  s.RunUntil(30.0);
+  // The latest client update comes from a player who is still connected.
+  const net::PacketRecord* last_update = nullptr;
+  for (const auto& r : sink.records()) {
+    if (r.direction == net::Direction::kClientToServer &&
+        r.kind == net::PacketKind::kGameUpdate) {
+      last_update = &r;
+    }
+  }
+  ASSERT_NE(last_update, nullptr);
+  const net::Ipv4Address ip = last_update->client_ip;
+  const std::uint16_t port = last_update->client_port;
+  const int before = server.active_players();
+  EXPECT_TRUE(server.DisconnectByEndpoint(ip, port));
+  EXPECT_EQ(server.active_players(), before - 1);
+  // Unknown endpoint: no effect.
+  EXPECT_FALSE(server.DisconnectByEndpoint(net::Ipv4Address(1, 2, 3, 4), 1));
+  EXPECT_EQ(server.active_players(), before - 1);
+  // Same endpoint twice: second call fails.
+  EXPECT_FALSE(server.DisconnectByEndpoint(ip, port));
+}
+
+TEST(CsServer, SequenceNumbersMonotonePerFlow) {
+  sim::Simulator s;
+  trace::VectorSink sink;
+  CsServer server(s, ShortConfig(9), sink);
+  server.Start();
+  s.RunUntil(20.0);
+
+  // Per (endpoint, direction): sequenced packets must be strictly
+  // increasing by 1 in emission order.
+  std::map<std::tuple<std::uint32_t, std::uint16_t, int>, std::uint32_t> last_seq;
+  std::uint64_t sequenced = 0;
+  for (const auto& r : sink.records()) {
+    if (r.seq == 0) continue;  // handshake / control
+    ++sequenced;
+    const auto key = std::tuple(r.client_ip.value(), r.client_port,
+                                static_cast<int>(r.direction));
+    const auto it = last_seq.find(key);
+    if (it != last_seq.end()) {
+      EXPECT_EQ(r.seq, it->second + 1) << "gap in emitted sequence";
+      it->second = r.seq;
+    } else {
+      EXPECT_EQ(r.seq, 1u) << "flows start at sequence 1";
+      last_seq[key] = r.seq;
+    }
+  }
+  EXPECT_GT(sequenced, 10000u);
+}
+
+TEST(CsServer, ControlPacketsAreUnsequenced) {
+  sim::Simulator s;
+  trace::VectorSink sink;
+  CsServer server(s, ShortConfig(9), sink);
+  server.Start();
+  s.RunUntil(30.0);
+  for (const auto& r : sink.records()) {
+    if (r.kind == net::PacketKind::kConnectRequest ||
+        r.kind == net::PacketKind::kConnectAccept ||
+        r.kind == net::PacketKind::kConnectReject ||
+        r.kind == net::PacketKind::kDisconnect) {
+      EXPECT_EQ(r.seq, 0u);
+    }
+  }
 }
 
 }  // namespace

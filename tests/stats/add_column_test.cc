@@ -87,7 +87,7 @@ TEST(AddColumn, HistogramMaskedMatchesFilteredAdd) {
   ExpectHistogramIdentical(scalar, columnar);
 }
 
-TEST(AddColumn, TimeSeriesMatchesAddBatch) {
+TEST(AddColumn, TimeSeriesMatchesScalarAdd) {
   const Columns c = RandomColumns(3, kN);
   TimeSeries scalar(0.0, 1.0), columnar(0.0, 1.0);
   for (const double t : c.times) scalar.Add(t, 1.0);
@@ -97,6 +97,14 @@ TEST(AddColumn, TimeSeriesMatchesAddBatch) {
   EXPECT_EQ(scalar.dropped_before_start(), columnar.dropped_before_start());
   ASSERT_EQ(scalar.size(), columnar.size());
   EXPECT_EQ(scalar.values(), columnar.values());
+}
+
+TEST(AddColumn, TimeSeriesCountsDropsBeforeStart) {
+  TimeSeries ts(100.0, 10.0);
+  const std::vector<double> times{50.0, 99.9, 100.0, 105.0, 250.0};
+  ts.AddColumn(times);
+  EXPECT_EQ(ts.dropped_before_start(), 2u);
+  EXPECT_EQ(ts.Sum(), 3.0);
 }
 
 TEST(AddColumn, TimeSeriesMaskedMatchesFilteredAdd) {
@@ -159,6 +167,24 @@ TEST(AddColumn, EmpiricalDistributionMatchesUnitAdds) {
   for (double u = 0.0; u < 1.0; u += 0.0625) {
     EXPECT_EQ(scalar.SampleByUniform(u), columnar.SampleByUniform(u));
   }
+}
+
+TEST(AddColumn, EmptyBatchIsNoOp) {
+  TimeSeries ts(0.0, 1.0);
+  Histogram h(0.0, 1.0, 4);
+  RunningStats rs;
+  const std::span<const double> no_times;
+  const std::span<const std::uint16_t> no_sizes;
+  const std::span<const std::uint8_t> no_mask;
+  ts.AddColumn(no_times);
+  ts.AddColumn(no_times, no_mask, 0);
+  h.AddColumn(no_sizes);
+  h.AddColumn(no_sizes, no_mask, 0);
+  rs.AddColumnU16(no_sizes);
+  rs.AddColumnU16(no_sizes, no_mask, 0);
+  EXPECT_TRUE(ts.empty());
+  EXPECT_EQ(h.total(), 0u);
+  EXPECT_TRUE(rs.empty());
 }
 
 }  // namespace

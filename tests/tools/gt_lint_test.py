@@ -230,43 +230,38 @@ class RuleTests(unittest.TestCase):
             """,
             "nondet-iteration")
 
-    def test_sink_tier_requires_onbatch_with_oncolumns(self):
+    def test_sink_tier_requires_override_on_oncolumns(self):
         self.check_fires(
             "src/trace/sinks.h",
             """
             struct PacketRecord {};
             struct PacketBatch {};
-            struct ColumnView {};
             class CaptureSink {
              public:
               virtual ~CaptureSink() = default;
               virtual void OnPacket(const PacketRecord&) = 0;
-              virtual void OnBatch(const PacketBatch&) {}
-              virtual void OnColumns(const ColumnView&) {}
+              virtual void OnColumns(const PacketBatch&) {}
             };
             class FastSink : public CaptureSink {
              public:
               void OnPacket(const PacketRecord&) override {}
-              void OnColumns(const ColumnView&) override {}
+              void OnColumns(const PacketBatch&) {}
             };
             """,
             "sink-tier",
             clean_variant="""
             struct PacketRecord {};
             struct PacketBatch {};
-            struct ColumnView {};
             class CaptureSink {
              public:
               virtual ~CaptureSink() = default;
               virtual void OnPacket(const PacketRecord&) = 0;
-              virtual void OnBatch(const PacketBatch&) {}
-              virtual void OnColumns(const ColumnView&) {}
+              virtual void OnColumns(const PacketBatch&) {}
             };
             class FastSink : public CaptureSink {
              public:
               void OnPacket(const PacketRecord&) override {}
-              void OnBatch(const PacketBatch&) override {}
-              void OnColumns(const ColumnView&) override {}
+              void OnColumns(const PacketBatch&) override {}
             };
             """)
 

@@ -14,8 +14,12 @@
 #include <gtest/gtest.h>
 
 #include "core/characterizer.h"
+#include "core/check.h"
+#include "game/config.h"
+#include "game/cs_server.h"
 #include "net/packet_batch.h"
 #include "sim/rng.h"
+#include "sim/simulator.h"
 #include "trace/aggregator.h"
 #include "trace/capture.h"
 #include "trace/filter.h"
@@ -26,9 +30,9 @@
 namespace gametrace::trace {
 namespace {
 
-// Mirrors the stream generator of batch_property_test.cc: small endpoint
-// pool, mostly game updates with occasional handshakes, near-monotone
-// timestamps with rare idle gaps long enough to trip the session timeout.
+// A plausible server-side stream: small endpoint pool, mostly game updates
+// with occasional handshakes, near-monotone timestamps with rare idle gaps
+// long enough to trip the session timeout.
 std::vector<net::PacketRecord> RandomStream(std::uint64_t seed, std::size_t n) {
   sim::Rng rng(seed);
   std::vector<net::PacketRecord> out;
@@ -290,7 +294,7 @@ TEST(ColumnarProperty, CharacterizerReportIdentical) {
 }
 
 // A sink with no columnar kernel of its own must be served correctly by the
-// base-class bridge (materialise -> OnBatch -> OnPacket).
+// base-class default, which loops OnPacket over the rows.
 TEST(ColumnarProperty, DefaultBridgeSinkIdentical) {
   class PacketOnlySink final : public CaptureSink {
    public:
@@ -310,6 +314,42 @@ TEST(ColumnarProperty, DefaultBridgeSinkIdentical) {
   EXPECT_EQ(scalar.count, columnar.count);
   EXPECT_EQ(scalar.sum_bytes, columnar.sum_bytes);
   EXPECT_EQ(scalar.sum_seq, columnar.sum_seq);
+}
+
+// End to end: a characterizer fed the server's live per-tick columns must
+// produce the same report as one fed the captured stream packet by packet.
+TEST(ColumnarProperty, LiveServerColumnsMatchScalarReplay) {
+  game::GameConfig cfg = game::GameConfig::ScaledDefaults(600.0);
+  sim::Simulator simulator;
+  core::CharacterizationOptions options;
+  options.vt_window = 600.0;
+  core::Characterizer live(options);
+  VectorSink capture;
+  TeeSink tee;
+  tee.Attach(capture);
+  tee.Attach(live);
+  game::CsServer server(simulator, cfg, tee);
+  server.Run();
+
+  core::Characterizer replayed(options);
+  FeedScalar(capture.records(), replayed);
+
+  auto ra = live.Finish(cfg.trace_duration);
+  auto rb = replayed.Finish(cfg.trace_duration);
+  ExpectSummaryIdentical(ra.summary, rb.summary);
+  ExpectSeriesIdentical(ra.minute_packets_in, rb.minute_packets_in);
+  ExpectSeriesIdentical(ra.minute_bytes_out, rb.minute_bytes_out);
+  ExpectSeriesIdentical(ra.vt_base_packets, rb.vt_base_packets);
+  ExpectSessionsIdentical(ra.sessions, rb.sessions);
+  ExpectHistogramIdentical(ra.size_total, rb.size_total);
+}
+
+TEST(ColumnarProperty, ShardNamespaceSinkValidatesShardId) {
+  CountingSink sink;
+  EXPECT_NO_THROW(ShardNamespaceSink(ShardNamespaceSink::kMaxShardId, sink));
+  EXPECT_THROW(ShardNamespaceSink(ShardNamespaceSink::kMaxShardId + 1, sink),
+               gametrace::ContractViolation);
+  EXPECT_THROW(ShardNamespaceSink(1000, sink), gametrace::ContractViolation);
 }
 
 // ---- Chain fusion -------------------------------------------------------
@@ -352,22 +392,19 @@ TEST(FusedChain, ReportsIdenticalToUnfusedChain) {
   EXPECT_EQ(fused_sinks.vec.records()[0].client_ip.value() >> 24, 15u);
 }
 
-TEST(FusedChain, ScalarAndBatchTiersMatchColumns) {
+TEST(FusedChain, ScalarTierMatchesColumns) {
   const auto records = RandomStream(51, kStreamLen);
-  Chain a(3), b(3), c(3);
+  Chain a(3), c(3);
   const std::unique_ptr<FusedChain> fa = FuseChain(*a.ns);
-  const std::unique_ptr<FusedChain> fb = FuseChain(*b.ns);
   const std::unique_ptr<FusedChain> fc = FuseChain(*c.ns);
   FeedScalar(records, *fa);
-  for (std::size_t i = 0; i < records.size(); i += 512) {
-    const std::size_t len = std::min<std::size_t>(512, records.size() - i);
-    fb->OnBatch(std::span<const net::PacketRecord>(records).subspan(i, len));
-  }
   FeedRandomColumns(records, 151, *fc);
   ExpectSummaryIdentical(a.summary, c.summary);
-  ExpectSummaryIdentical(b.summary, c.summary);
+  ExpectSeriesIdentical(a.agg.packets_in(), c.agg.packets_in());
+  ExpectSeriesIdentical(a.agg.wire_bytes_out(), c.agg.wire_bytes_out());
+  EXPECT_EQ(a.counting.packets(), c.counting.packets());
+  EXPECT_EQ(a.counting.app_bytes(), c.counting.app_bytes());
   EXPECT_EQ(a.vec.records(), c.vec.records());
-  EXPECT_EQ(b.vec.records(), c.vec.records());
   ExpectSessionsIdentical(a.sessions.Finish(), c.sessions.Finish());
 }
 

@@ -5,18 +5,18 @@ Shared CI runners are too noisy to gate on absolute packets/sec, so the
 comparison uses machine-independent quantities only:
 
   * hard speedup floors on the *committed baseline* (curated best-of-N
-    numbers, so floors are meaningful there): batched/scalar >= 1.0 at
-    the delivery-bound depths 1-3, and columnar-fused/scalar >= 2.0 at
-    depths 1-3 and >= 1.0 at depth 4. Depth 4 is kernel-bound, not
+    numbers, so floors are meaningful there): columnar-fused/scalar >= 2.0
+    at the delivery-bound depths 1-3 and >= 1.0 at depth 4. Depth 4 is
+    kernel-bound, not
     delivery-bound - the summary sink's Welford recurrence and the
     session tracker's per-flow hash update are serial per-record chains
     that no delivery tier can reorder - so parity, not 2x, is the honest
     floor there; what the floor defends is that the shipping tier
     (columnar-fused, what FleetEngine actually drives) never regresses
     below scalar again (it sat at 0.88x before fusion),
-  * per-chain batched/scalar and columnar-fused/scalar speedup ratios
-    (fresh must be within --tolerance, default 25%, of the committed
-    value - fresh runs on shared runners are too noisy for hard floors),
+  * per-chain columnar-fused/scalar speedup ratios (fresh must be within
+    --tolerance, default 25%, of the committed value - fresh runs on
+    shared runners are too noisy for hard floors),
   * the observability budget: the idle GT_PROF_SCOPE overhead fraction
     must stay under --obs-budget (default 2%) in absolute terms, and
   * the flight-recorder budget: sampling one registry snapshot per
@@ -76,35 +76,30 @@ import sys
 
 # Hard floors checked against the committed baseline. Depths 1-3 are
 # delivery-bound (per-record virtual dispatch and striding dominate), so
-# batching must win outright and fusion must at least double throughput.
-# Depth 4 is kernel-bound (serial Welford + per-flow hash chains), so the
-# fused tier is held at parity with scalar - the regression CI must catch
-# is the pre-fusion 0.88x, not a missing 2x that no delivery tier can buy.
-BATCHED_FLOORS = {1: 1.0, 2: 1.0, 3: 1.0}
+# fusion must at least double throughput. Depth 4 is kernel-bound (serial
+# Welford + per-flow hash chains), so the fused tier is held at parity with
+# scalar - the regression CI must catch is the pre-fusion 0.88x, not a
+# missing 2x that no delivery tier can buy.
 COLUMNAR_FLOORS = {1: 2.0, 2: 2.0, 3: 2.0, 4: 1.0}
 
 
 def check_floors(baseline, failures):
     for run in baseline.get("runs", []):
         depth = run["chain_depth"]
-        for label, key, floors in (
-            ("batched", "speedup", BATCHED_FLOORS),
-            ("columnar-fused", "columnar_speedup", COLUMNAR_FLOORS),
-        ):
-            floor = floors.get(depth)
-            if floor is None:
-                continue
-            value = run.get(key)
-            if value is None:
-                failures.append(f"baseline depth {depth} has no '{key}' field")
-                continue
-            ok = value >= floor
-            print(f"  baseline depth {depth}: {label} speedup {value:.3f} "
-                  f"(floor {floor:.1f}) {'ok' if ok else 'BELOW FLOOR'}")
-            if not ok:
-                failures.append(
-                    f"baseline depth {depth} {label} speedup {value:.3f} "
-                    f"is below the committed floor {floor:.1f}")
+        floor = COLUMNAR_FLOORS.get(depth)
+        if floor is None:
+            continue
+        value = run.get("columnar_speedup")
+        if value is None:
+            failures.append(f"baseline depth {depth} has no 'columnar_speedup' field")
+            continue
+        ok = value >= floor
+        print(f"  baseline depth {depth}: columnar-fused speedup {value:.3f} "
+              f"(floor {floor:.1f}) {'ok' if ok else 'BELOW FLOOR'}")
+        if not ok:
+            failures.append(
+                f"baseline depth {depth} columnar-fused speedup {value:.3f} "
+                f"is below the committed floor {floor:.1f}")
 
 
 def check_fleet(doc, name, args, failures, require_scale, per_core):
@@ -277,20 +272,19 @@ def main():
         if base is None:
             print(f"  depth {depth}: no baseline entry, skipped")
             continue
-        for label, key in (("batched", "speedup"),
-                           ("columnar-fused", "columnar_speedup")):
-            if key not in run or key not in base:
-                failures.append(f"depth {depth} is missing '{key}' in fresh or baseline")
-                continue
-            floor = base[key] * (1.0 - args.tolerance)
-            ok = run[key] >= floor
-            print(f"  depth {depth} ({run['chain']}): {label} speedup {run[key]:.3f} "
-                  f"vs baseline {base[key]:.3f} (floor {floor:.3f}) "
-                  f"{'ok' if ok else 'REGRESSED'}")
-            if not ok:
-                failures.append(
-                    f"depth {depth} {label} speedup {run[key]:.3f} fell below {floor:.3f} "
-                    f"(baseline {base[key]:.3f}, tolerance {args.tolerance:.0%})")
+        key = "columnar_speedup"
+        if key not in run or key not in base:
+            failures.append(f"depth {depth} is missing '{key}' in fresh or baseline")
+            continue
+        floor = base[key] * (1.0 - args.tolerance)
+        ok = run[key] >= floor
+        print(f"  depth {depth} ({run['chain']}): columnar-fused speedup {run[key]:.3f} "
+              f"vs baseline {base[key]:.3f} (floor {floor:.3f}) "
+              f"{'ok' if ok else 'REGRESSED'}")
+        if not ok:
+            failures.append(
+                f"depth {depth} columnar-fused speedup {run[key]:.3f} fell below {floor:.3f} "
+                f"(baseline {base[key]:.3f}, tolerance {args.tolerance:.0%})")
 
     missing = set(base_by_depth) - {r["chain_depth"] for r in fresh.get("runs", [])}
     if missing:

@@ -15,14 +15,10 @@ determinism and locking contracts stay compile-time artifacts:
                     so it must never reach a fold or serialization order.
                     Order-independent folds (commutative integer sums)
                     carry a `gt-lint: allow(...)` justification comment.
-  sink-tier         CaptureSink subclasses keep the three delivery tiers
-                    coherent: a sink overriding OnColumns must override
-                    OnBatch too (otherwise AoS producers silently fall to
-                    the per-packet loop while columnar producers take the
-                    kernel - the tiers must stay equivalent AND comparable
-                    in cost), and every tier method must be spelled
-                    `override`/`final` so hiding never masquerades as
-                    overriding.
+  sink-tier         CaptureSink subclasses spell every delivery-tier
+                    method (OnPacket, OnColumns) `override`/`final`, so
+                    hiding never masquerades as overriding and silently
+                    forks the tier contract.
   raw-contract      GT_CHECK/GT_DCHECK instead of raw assert(), and no
                     bare `throw` of foreign types in src/ - only the
                     environmental error types (net::PcapError,
@@ -92,7 +88,7 @@ NONDET_TYPES = {"random_device", "system_clock", "high_resolution_clock"}
 
 UNORDERED_RE = re.compile(r"std\s*::\s*unordered_(?:map|set|multimap|multiset)\b")
 
-SINK_TIER_METHODS = ("OnPacket", "OnBatch", "OnColumns")
+SINK_TIER_METHODS = ("OnPacket", "OnColumns")
 
 # Exception types src/ code may throw (environmental errors + the contract
 # machinery itself). Compared against the last :: component.
@@ -535,7 +531,7 @@ class LexEngine:
             body = clean[body_start:body_end]
             decls: dict[str, tuple[int, str]] = {}
             for dm in re.finditer(
-                r"\bvoid\s+(OnPacket|OnBatch|OnColumns)\s*\(", body
+                r"\bvoid\s+(OnPacket|OnColumns)\s*\(", body
             ):
                 close = _match_forward(body, dm.end() - 1, "(", ")")
                 rest = body[close : body.find("\n", close) if body.find("\n", close) > 0 else len(body)]
@@ -556,15 +552,6 @@ class LexEngine:
                         "without `override` - hiding would silently fork the "
                         "tier contract",
                         normalize_anchor(line_text(raw, at))))
-            if "OnColumns" in decls and "OnBatch" not in decls:
-                at = decls["OnColumns"][0]
-                findings.append(Finding(
-                    "sink-tier", relpath, line_of(clean, at),
-                    f"{cls} overrides OnColumns but not OnBatch - AoS batches "
-                    "would fall to the per-packet loop while columnar batches "
-                    "take the kernel; implement OnBatch (or route it through "
-                    "the columnar path) to keep the three tiers coherent",
-                    normalize_anchor(line_text(raw, at))))
         return findings
 
     def _rule_raw_contract(self, relpath, raw, clean) -> list[Finding]:
@@ -796,14 +783,6 @@ class LibclangEngine:
                                 f"{child.spelling}::{name} re-declares a "
                                 "CaptureSink delivery tier without `override` - "
                                 "hiding would silently fork the tier contract"))
-                    if "OnColumns" in decls and "OnBatch" not in decls:
-                        findings.append(self._finding(
-                            "sink-tier", relpath, decls["OnColumns"][0],
-                            f"{child.spelling} overrides OnColumns but not "
-                            "OnBatch - AoS batches would fall to the per-packet "
-                            "loop while columnar batches take the kernel; "
-                            "implement OnBatch (or route it through the columnar "
-                            "path) to keep the three tiers coherent"))
                 scan(child)
 
         scan(tu.cursor)
