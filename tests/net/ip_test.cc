@@ -1,5 +1,7 @@
 #include "net/ip.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "core/check.h"
@@ -28,6 +30,18 @@ struct ParseCase {
   bool ok;
   std::uint32_t value;
 };
+
+// Prints the case by its text rather than as raw bytes: the default printer
+// dumps the `text` pointer, which would make each case's name change with
+// every build and load address.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+  if (c.ok) {
+    *os << " ok";
+  } else {
+    *os << " bad";
+  }
+}
 
 class Ipv4ParseTest : public ::testing::TestWithParam<ParseCase> {};
 
